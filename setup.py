@@ -34,15 +34,5 @@ setup(
             "mypy>=1.0",
             "ruff>=0.4",
         ],
-        # Optional JIT engine backend; without it `repro.engine` simply does
-        # not register the "numba" backend.
-        "numba": [
-            "numba>=0.57",
-        ],
-        # Optional CUDA engine backend; without it (or without a visible
-        # device) `repro.engine` simply does not register the "gpu" backend.
-        "gpu": [
-            "cupy-cuda12x",
-        ],
     },
 )

@@ -6,26 +6,16 @@ rest of the stack exposes:
 
 * :class:`AdaptiveLatencyBudget` — AIMD on
   :meth:`repro.service.MicroBatcher.set_latency_budget`, keyed off the
-  seal-wait p99 (SLO) and the in-flight batch count (congestion);
-* :class:`CacheBudgetTuner` — eviction-slope / hit-rate feedback on
-  :meth:`repro.raster.TileCache.set_byte_budget`;
-* :class:`ChunkBytesTuner` — a one-shot measured sweep installing the best
-  engine chunk budget via :func:`repro.engine.set_chunk_byte_budget`.
+  seal-wait p99 (SLO) and the in-flight batch count (congestion).
 
-``QueryService(controller=...)`` and ``RasterService(controller=...)`` wire
-a controller into their own metrics plumbing, including gating actuation
-off during epoch swaps.
+``QueryService(controller=...)`` wires a controller into the service's own
+metrics plumbing, including gating actuation off during epoch swaps.
 """
 
 from .base import Controller
-from .cache import CacheBudgetTuner
-from .chunk import ChunkBytesTuner, DEFAULT_CHUNK_CANDIDATES
 from .latency import AdaptiveLatencyBudget
 
 __all__ = [
     "AdaptiveLatencyBudget",
-    "CacheBudgetTuner",
-    "ChunkBytesTuner",
     "Controller",
-    "DEFAULT_CHUNK_CANDIDATES",
 ]

@@ -55,8 +55,9 @@ class AdaptiveLatencyBudget(Controller):
 
     Args:
         source: name of the hub source to read (a
-            :func:`repro.obs.query_service_source`-shaped mapping with
-            ``wait_p99``, ``inflight_batches`` and ``submitted``).
+            :meth:`repro.service.QueryService.metrics_sample`-shaped
+            mapping with ``wait_p99``, ``inflight_batches`` and
+            ``submitted``).
         min_budget: budget floor in seconds; also the starting point.
         max_budget: budget cap in seconds; defaults to the
             ``REPRO_CONTROL_BUDGET_CAP`` knob (0.02 s).

@@ -20,38 +20,23 @@ Architecture
     concurrency-safe registry/selection machinery.  A backend is any object
     implementing the five kernel entry points.  The backend matrix:
 
-    ================  ==========================================================
-    ``numpy``         Vectorised kernels of ``kernels.py``; the default.  Best
-                      for everyday batches (it beats the others up to roughly
-                      10^4 points because it pays no compile or pool cost).
-    ``reference``     Pure-Python loops over the scalar model functions; ~100x
-                      slower, ground truth for the equivalence property tests.
-    ``numba``         JIT-compiled fused loops (``numba_backend.py``).  Only
-                      registered when the optional ``numba`` dependency is
-                      installed (``pip install repro-sinr-diagrams[numba]``);
-                      fastest steady-state single-core option once compiled.
-    ``multiprocess``  Shards the point batch across a worker-process pool
-                      (``multiprocess.py``).  Wins on multi-core hosts for
-                      large batches (>= its ``min_batch_size`` threshold,
-                      default 2048 points); smaller batches automatically fall
-                      through to ``numpy`` so they never pay pool overhead.
+    ==================  ======================================================
+    ``numpy``           Vectorised kernels of ``kernels.py``; the default.
+    ``reference``       Pure-Python loops over the scalar model functions;
+                        ~100x slower, ground truth for the equivalence
+                        property tests.
     ``float32-screen``  The precision tier (``mixed_precision.py``): decision
-                      queries run a float32 screen with a certified decision
-                      margin, and only margin-close points are re-verified
-                      through an exact inner backend (any registered name,
-                      default ``numpy``; late-bound per call).  Answers are
-                      bit-identical to ``reference`` by construction — the
-                      screen keeps only decisions it can certify — at roughly
-                      half the memory traffic of the float64 kernels.  Value
-                      queries (``sinr_batch`` / ``energy_batch``) delegate to
-                      the inner backend unscreened.
-    ``gpu``           The same screen-then-verify shell with the float32
-                      screen on a CUDA device via CuPy (``gpu_backend.py``).
-                      Registered only when the optional dependency imports
-                      *and* a device is visible
-                      (``pip install repro-sinr-diagrams[gpu]``); exactness
-                      guarantee identical to ``float32-screen``.
-    ================  ==========================================================
+                        queries run a float32 screen with a certified
+                        decision margin, and only margin-close points are
+                        re-verified through an exact inner backend (any
+                        registered name, default ``numpy``; late-bound per
+                        call).  Answers are bit-identical to ``reference``
+                        by construction — the screen keeps only decisions it
+                        can certify — at roughly half the memory traffic of
+                        the float64 kernels.  Value queries (``sinr_batch``
+                        / ``energy_batch``) delegate to the inner backend
+                        unscreened.
+    ==================  ======================================================
 
     Switch with::
 
@@ -59,11 +44,12 @@ Architecture
         use_backend("reference")            # current thread/task, persistent
         with use_backend("numpy"): ...      # scoped, restored on exit
 
-    or pass ``backend="numba"`` per call to any ``batch.py`` function.  The
-    selection lives in a :class:`contextvars.ContextVar`, so threads and
-    asyncio tasks are isolated from each other and nested ``with`` blocks
-    unwind correctly even on exceptions.  New backends (GPU, ...) register
-    via :func:`register_backend` and become selectable everywhere at once.
+    or pass ``backend="float32-screen"`` per call to any ``batch.py``
+    function.  The selection lives in a :class:`contextvars.ContextVar`, so
+    threads and asyncio tasks are isolated from each other and nested
+    ``with`` blocks unwind correctly even on exceptions.  New backends
+    register via :func:`register_backend` and become selectable everywhere
+    at once.
 
 ``batch.py``
     The uniform batch query API consumed by the model, point-location,
@@ -115,29 +101,18 @@ from .batch import (
     points_per_chunk,
     received_at,
     received_mask,
-    set_chunk_byte_budget,
     sinr_batch,
     strongest_station_batch,
 )
 from . import kernels
 
-# Importing these modules registers the production backends: "multiprocess"
-# and "float32-screen" always, "numba" and "gpu" only when their optional
-# dependency (and, for "gpu", a CUDA device) is available.
-from .multiprocess import MultiprocessBackend
-from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
+# Importing the precision tier registers the "float32-screen" backend.
 from .mixed_precision import Float32ScreenBackend, ScreenStats
-from .gpu_backend import GPU_AVAILABLE, GpuBackend
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
-    "GPU_AVAILABLE",
     "NO_RECEPTION",
-    "NUMBA_AVAILABLE",
     "Float32ScreenBackend",
-    "GpuBackend",
-    "MultiprocessBackend",
-    "NumbaBackend",
     "NumpyBackend",
     "QueryBackend",
     "ReferenceBackend",
@@ -154,7 +129,6 @@ __all__ = [
     "points_per_chunk",
     "received_at",
     "received_mask",
-    "set_chunk_byte_budget",
     "register_backend",
     "sinr_batch",
     "strongest_station_batch",

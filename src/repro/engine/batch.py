@@ -16,11 +16,10 @@ them at once — so an unchunked 200-station × 1M-point batch peaks around
 intermediates fit a byte budget (:func:`chunk_byte_budget`, settable via
 the ``REPRO_ENGINE_CHUNK_BYTES`` environment variable, default 64 MiB).
 Chunking is exact: every kernel decides each point independently of every
-other point (the same property :class:`~repro.engine.multiprocess.\
-MultiprocessBackend` exploits to shard across processes), so results are
-bit-identical for every chunk size.  Only the per-call *temporaries* are
-bounded — outputs whose size is inherent to the query (the ``(n, m)``
-matrix of :func:`sinr_batch`, for example) still scale with the batch.
+other point, so results are bit-identical for every chunk size.  Only the
+per-call *temporaries* are bounded — outputs whose size is inherent to the
+query (the ``(n, m)`` matrix of :func:`sinr_batch`, for example) still
+scale with the batch.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "PointsLike",
     "as_points_array",
     "chunk_byte_budget",
-    "set_chunk_byte_budget",
     "points_per_chunk",
     "energy_batch",
     "sinr_matrix_array",
@@ -75,42 +73,13 @@ _TEMPS_PER_CALL = 12
 PointsLike = Union[np.ndarray, Sequence["Point"], Sequence[Sequence[float]]]
 
 
-#: Process-wide runtime override installed by :func:`set_chunk_byte_budget`
-#: (``None`` defers to the environment knob).  Deliberately process-global,
-#: unlike backend *selection*: the chunk budget is a hardware-fit tuning
-#: knob, and every thread shares the same caches.
-_runtime_chunk_bytes: Optional[int] = None
-
-
-def set_chunk_byte_budget(budget: Optional[int]) -> None:
-    """Install (or with ``None`` clear) a runtime chunk-byte-budget override.
-
-    Takes precedence over ``REPRO_ENGINE_CHUNK_BYTES`` for every subsequent
-    engine call in the process.  This is the actuation surface of
-    :class:`repro.control.ChunkBytesTuner`, which measures candidate budgets
-    and installs the fastest (4 MiB beat the 64 MiB default by ~1.5x on the
-    calibration container's strongest-station workload).
-    """
-    global _runtime_chunk_bytes
-    if budget is not None:
-        budget = int(budget)
-        if budget <= 0:
-            raise EngineError(
-                f"the chunk byte budget must be positive, got {budget}"
-            )
-    _runtime_chunk_bytes = budget
-
-
 def chunk_byte_budget() -> int:
     """The configured intermediate-matrix byte budget for one engine call.
 
-    A :func:`set_chunk_byte_budget` override wins; otherwise reads
-    ``REPRO_ENGINE_CHUNK_BYTES`` on every call (so tests and services can
-    retune it at runtime); non-positive or unparsable values are ignored
-    with a warning in favour of :data:`DEFAULT_CHUNK_BYTES`.
+    Reads ``REPRO_ENGINE_CHUNK_BYTES`` on every call (so tests and
+    benchmarks can retune it at runtime); non-positive or unparsable values
+    are ignored with a warning in favour of :data:`DEFAULT_CHUNK_BYTES`.
     """
-    if _runtime_chunk_bytes is not None:
-        return _runtime_chunk_bytes
     raw = read_knob(ENGINE_CHUNK_BYTES)
     if raw.strip():
         try:

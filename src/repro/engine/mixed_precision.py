@@ -39,14 +39,10 @@ overwrites take effect on the verify path immediately, and ``inner=None``
 follows the caller's :func:`~repro.engine.backend.use_backend` context.
 
 The screen itself is evaluated in cache-friendly float32 chunks under the
-same ``REPRO_ENGINE_CHUNK_BYTES`` budget as :mod:`repro.engine.batch`, and
-the chunk kernels are written against an array-module parameter (``xp``) so
-:mod:`repro.engine.gpu_backend` reuses them verbatim on CuPy arrays.
+same ``REPRO_ENGINE_CHUNK_BYTES`` budget as :mod:`repro.engine.batch`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -115,7 +111,7 @@ class ScreenStats:
         )
 
 
-def _screen_energies(xp, coords32, powers32, pts32, alpha):
+def _screen_energies(coords32, powers32, pts32, alpha):
     """Float32 energies ``(n, c)`` plus the per-point min squared distance.
 
     No coincidence matrix: a zero float32 distance yields an infinite energy,
@@ -129,35 +125,35 @@ def _screen_energies(xp, coords32, powers32, pts32, alpha):
     if alpha == 2.0:
         energies = powers32[:, None] / sq
     else:
-        energies = powers32[:, None] * sq ** xp.float32(-alpha / 2.0)
+        energies = powers32[:, None] * sq ** np.float32(-alpha / 2.0)
     return energies, sq_min
 
 
-def _screen_strongest(xp, coords32, powers32, pts32, alpha, tol32):
+def _screen_strongest(coords32, powers32, pts32, alpha, tol32):
     """One strongest-station screen chunk: ``(idx, uncertain, sq_min)``.
 
     ``idx`` is the float32 energy argmax; a point is uncertain unless top-1
     is finite, clear of the underflow floor, and relatively separated from
     top-2 by more than ``tol32``.
     """
-    energies, sq_min = _screen_energies(xp, coords32, powers32, pts32, alpha)
-    idx = xp.argmax(energies, axis=0)
-    cols = xp.arange(pts32.shape[0])
+    energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
+    idx = np.argmax(energies, axis=0)
+    cols = np.arange(pts32.shape[0])
     top1 = energies[idx, cols]
-    energies[idx, cols] = -xp.inf
+    energies[idx, cols] = -np.inf
     top2 = energies.max(axis=0)
     # Below the floor, float32 zeros may hide larger true energies (underflow
     # or squared-distance overflow), so a "winner" there proves nothing.
-    floor = xp.float32(max(_TINY32, float(powers32.max()) * 1e-35))
+    floor = np.float32(max(_TINY32, float(powers32.max()) * 1e-35))
     uncertain = (
-        ~xp.isfinite(top1)
+        ~np.isfinite(top1)
         | (top1 <= floor)
         | ~((top1 - top2) > tol32 * (top1 + top2))
     )
     return idx, uncertain, sq_min
 
 
-def _screen_sinr(xp, coords32, powers32, pts32, noise, alpha):
+def _screen_sinr(coords32, powers32, pts32, noise, alpha):
     """Float32 SINR ratios ``(n, c)`` plus per-point inf/underflow flags.
 
     Columns containing any infinite energy — coincident or overflow-close
@@ -165,49 +161,45 @@ def _screen_sinr(xp, coords32, powers32, pts32, noise, alpha):
     caller must route flagged columns to the exact path, so the simplified
     arithmetic here (no coincidence/overflow overrides) is safe.
     """
-    energies, sq_min = _screen_energies(xp, coords32, powers32, pts32, alpha)
-    inf_energy = ~xp.isfinite(energies)
+    energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
+    inf_energy = ~np.isfinite(energies)
     flagged = inf_energy.any(axis=0)
-    finite = xp.where(inf_energy, xp.float32(0.0), energies)
+    finite = np.where(inf_energy, np.float32(0.0), energies)
     total = finite.sum(axis=0)
-    flagged = flagged | (total < xp.float32(_TINY32))
-    denominator = total[None, :] - finite + xp.float32(noise)
-    ratio = xp.where(
-        denominator > 0, finite / denominator, xp.float32(np.inf)
+    flagged = flagged | (total < np.float32(_TINY32))
+    denominator = total[None, :] - finite + np.float32(noise)
+    ratio = np.where(
+        denominator > 0, finite / denominator, np.float32(np.inf)
     )
     return ratio, flagged, sq_min
 
 
-def _screen_mask(xp, coords32, powers32, pts32, noise, beta32, tol32, alpha):
+def _screen_mask(coords32, powers32, pts32, noise, beta32, tol32, alpha):
     """One reception-mask screen chunk: ``(mask (n, c), uncertain, sq_min)``."""
-    ratio, flagged, sq_min = _screen_sinr(
-        xp, coords32, powers32, pts32, noise, alpha
-    )
+    ratio, flagged, sq_min = _screen_sinr(coords32, powers32, pts32, noise, alpha)
     mask = ratio >= beta32
-    near = xp.abs(ratio - beta32) <= tol32 * (ratio + beta32)
+    near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
     return mask, near.any(axis=0) | flagged, sq_min
 
 
-def _screen_heard(xp, coords32, powers32, pts32, noise, beta32, tol32, alpha):
+def _screen_heard(coords32, powers32, pts32, noise, beta32, tol32, alpha):
     """One heard-station screen chunk: ``(best, any_received, uncertain, sq_min)``.
 
     Uncertain when any entry is margin-close to ``beta`` (the mask could
     differ), when the masked top-1/top-2 separation fails (the ``beta < 1``
     tie-break could differ), or on any inf/underflow flag.
     """
-    ratio, flagged, sq_min = _screen_sinr(
-        xp, coords32, powers32, pts32, noise, alpha
-    )
+    ratio, flagged, sq_min = _screen_sinr(coords32, powers32, pts32, noise, alpha)
     mask = ratio >= beta32
-    near = xp.abs(ratio - beta32) <= tol32 * (ratio + beta32)
-    masked = xp.where(mask, ratio, xp.float32(-np.inf))
-    best = xp.argmax(masked, axis=0)
-    cols = xp.arange(pts32.shape[0])
+    near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
+    masked = np.where(mask, ratio, np.float32(-np.inf))
+    best = np.argmax(masked, axis=0)
+    cols = np.arange(pts32.shape[0])
     top1 = masked[best, cols]
-    any_received = top1 > -xp.inf
-    masked[best, cols] = -xp.inf
+    any_received = top1 > -np.inf
+    masked[best, cols] = -np.inf
     top2 = masked.max(axis=0)
-    contested = top2 > -xp.inf
+    contested = top2 > -np.inf
     uncertain = (
         near.any(axis=0)
         | flagged
@@ -216,21 +208,19 @@ def _screen_heard(xp, coords32, powers32, pts32, noise, beta32, tol32, alpha):
     return best, any_received, uncertain, sq_min
 
 
-def _screen_row(
-    xp, coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
-):
+def _screen_row(coords32, powers32, pts32, indices, noise, beta32, tol32, alpha):
     """One gathered reception screen chunk: ``(mask (c,), uncertain, sq_min)``."""
-    energies, sq_min = _screen_energies(xp, coords32, powers32, pts32, alpha)
-    inf_energy = ~xp.isfinite(energies)
+    energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
+    inf_energy = ~np.isfinite(energies)
     flagged = inf_energy.any(axis=0)
-    finite = xp.where(inf_energy, xp.float32(0.0), energies)
+    finite = np.where(inf_energy, np.float32(0.0), energies)
     total = finite.sum(axis=0)
-    flagged = flagged | (total < xp.float32(_TINY32))
-    cols = xp.arange(pts32.shape[0])
+    flagged = flagged | (total < np.float32(_TINY32))
+    cols = np.arange(pts32.shape[0])
     row = finite[indices, cols]
-    denominator = total - row + xp.float32(noise)
-    ratio = xp.where(denominator > 0, row / denominator, xp.float32(np.inf))
-    near = xp.abs(ratio - beta32) <= tol32 * (ratio + beta32)
+    denominator = total - row + np.float32(noise)
+    ratio = np.where(denominator > 0, row / denominator, np.float32(np.inf))
+    near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
     return ratio >= beta32, near | flagged, sq_min
 
 
@@ -257,9 +247,6 @@ class Float32ScreenBackend:
         geometry_margin: station-proximity guard relative to the coordinate
             scale; points closer than this to some station are always
             verified exactly.
-        chunk_bytes: byte budget for the screen's float32 intermediates;
-            defaults to the shared :func:`~repro.engine.batch.
-            chunk_byte_budget` (``REPRO_ENGINE_CHUNK_BYTES``).
     """
 
     name = "float32-screen"
@@ -274,7 +261,6 @@ class Float32ScreenBackend:
         *,
         decision_margin: float = DEFAULT_DECISION_MARGIN,
         geometry_margin: float = DEFAULT_GEOMETRY_MARGIN,
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if decision_margin <= 0.0:
             raise ReproError("decision_margin must be positive")
@@ -283,7 +269,6 @@ class Float32ScreenBackend:
         self._inner_selection = inner
         self.decision_margin = float(decision_margin)
         self.geometry_margin = float(geometry_margin)
-        self._chunk_bytes = chunk_bytes
         self.stats = ScreenStats()
 
     # -- inner backend (late-bound) ------------------------------------
@@ -322,10 +307,8 @@ class Float32ScreenBackend:
         return coords32, powers32, np.ascontiguousarray(pts, dtype=np.float32)
 
     def _chunk_step(self, n_stations: int) -> int:
-        budget = (
-            self._chunk_bytes if self._chunk_bytes else chunk_byte_budget()
-        )
-        return max(1, budget // (max(1, n_stations) * 4 * _SCREEN_TEMPS))
+        per_point = max(1, n_stations) * 4 * _SCREEN_TEMPS
+        return max(1, chunk_byte_budget() // per_point)
 
     def _tolerance(self, n_stations: int, beta: float, alpha: float) -> np.float32:
         """Effective relative tolerance: the margin, floored by error bounds.
@@ -365,36 +348,6 @@ class Float32ScreenBackend:
         self.stats.screened += int(screened)
         self.stats.verified += int(verified)
 
-    # -- screen chunk hooks (overridden by the GPU backend) ------------
-
-    def _screen_strongest_chunk(self, coords32, powers32, pts32, alpha, tol32):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _screen_strongest(np, coords32, powers32, pts32, alpha, tol32)
-
-    def _screen_mask_chunk(
-        self, coords32, powers32, pts32, noise, beta32, tol32, alpha
-    ):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _screen_mask(
-                np, coords32, powers32, pts32, noise, beta32, tol32, alpha
-            )
-
-    def _screen_heard_chunk(
-        self, coords32, powers32, pts32, noise, beta32, tol32, alpha
-    ):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _screen_heard(
-                np, coords32, powers32, pts32, noise, beta32, tol32, alpha
-            )
-
-    def _screen_row_chunk(
-        self, coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
-    ):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _screen_row(
-                np, coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
-            )
-
     # -- screened decision queries -------------------------------------
 
     def strongest_station(
@@ -413,10 +366,11 @@ class Float32ScreenBackend:
         step = self._chunk_step(len(coords))
         for start in range(0, m, step):
             sl = slice(start, min(start + step, m))
-            idx, unc, sq_min = self._screen_strongest_chunk(
-                c32, p32, pts32[sl], alpha, tol32
-            )
-            out[sl] = np.asarray(idx, dtype=np.intp)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                idx, unc, sq_min = _screen_strongest(
+                    c32, p32, pts32[sl], alpha, tol32
+                )
+            out[sl] = idx
             uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
         verified = int(np.count_nonzero(uncertain))
         if verified:
@@ -448,10 +402,11 @@ class Float32ScreenBackend:
         step = self._chunk_step(n)
         for start in range(0, m, step):
             sl = slice(start, min(start + step, m))
-            mask, unc, sq_min = self._screen_mask_chunk(
-                c32, p32, pts32[sl], noise, beta32, tol32, alpha
-            )
-            out[:, sl] = np.asarray(mask, dtype=bool)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                mask, unc, sq_min = _screen_mask(
+                    c32, p32, pts32[sl], noise, beta32, tol32, alpha
+                )
+            out[:, sl] = mask
             uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
         verified = int(np.count_nonzero(uncertain))
         if verified:
@@ -483,14 +438,11 @@ class Float32ScreenBackend:
         step = self._chunk_step(len(coords))
         for start in range(0, m, step):
             sl = slice(start, min(start + step, m))
-            best, any_received, unc, sq_min = self._screen_heard_chunk(
-                c32, p32, pts32[sl], noise, beta32, tol32, alpha
-            )
-            out[sl] = np.where(
-                np.asarray(any_received, dtype=bool),
-                np.asarray(best, dtype=np.intp),
-                no_reception,
-            )
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                best, any_received, unc, sq_min = _screen_heard(
+                    c32, p32, pts32[sl], noise, beta32, tol32, alpha
+                )
+            out[sl] = np.where(any_received, best, no_reception)
             uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
         verified = int(np.count_nonzero(uncertain))
         if verified:
@@ -523,10 +475,11 @@ class Float32ScreenBackend:
         step = self._chunk_step(len(coords))
         for start in range(0, m, step):
             sl = slice(start, min(start + step, m))
-            mask, unc, sq_min = self._screen_row_chunk(
-                c32, p32, pts32[sl], indices[sl], noise, beta32, tol32, alpha
-            )
-            out[sl] = np.asarray(mask, dtype=bool)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                mask, unc, sq_min = _screen_row(
+                    c32, p32, pts32[sl], indices[sl], noise, beta32, tol32, alpha
+                )
+            out[sl] = mask
             uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
         verified = int(np.count_nonzero(uncertain))
         if verified:

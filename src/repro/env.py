@@ -26,7 +26,6 @@ __all__ = [
     "EnvKnob",
     "KNOBS",
     "ENGINE_CHUNK_BYTES",
-    "ENGINE_WORKERS",
     "SERVICE_DRAIN_TIMEOUT",
     "METRICS_INTERVAL",
     "CONTROL_WAIT_TARGET",
@@ -41,9 +40,6 @@ __all__ = [
 #: Byte budget for one engine call's kernel temporaries (see
 #: :func:`repro.engine.batch.chunk_byte_budget`).
 ENGINE_CHUNK_BYTES = "REPRO_ENGINE_CHUNK_BYTES"
-
-#: Worker-process count of the multiprocess engine backend.
-ENGINE_WORKERS = "REPRO_ENGINE_WORKERS"
 
 #: Seconds a network swap waits for the previous epoch's batches to drain.
 SERVICE_DRAIN_TIMEOUT = "REPRO_SERVICE_DRAIN_TIMEOUT"
@@ -81,11 +77,6 @@ _DECLARED: Tuple[EnvKnob, ...] = (
             "byte budget for one engine call's (n_stations, chunk) kernel "
             "temporaries; batch entry points tile the point axis to fit it"
         ),
-    ),
-    EnvKnob(
-        name=ENGINE_WORKERS,
-        default="os.cpu_count()",
-        description="worker-process count of the multiprocess engine backend",
     ),
     EnvKnob(
         name=SERVICE_DRAIN_TIMEOUT,

@@ -4,22 +4,14 @@ The hub (:class:`MetricsHub`) periodically samples registered *sources*
 (zero-argument callables returning ``{metric: float}``) into immutable
 :class:`MetricsRecord` snapshots and fans each one out to registered
 *sinks* (anything with ``emit(record)``).  The generic
-:func:`stats_source` adapter (and its historical per-type wrappers) lives
-in :mod:`repro.obs.sources`; ring-buffer, JSONL and log sinks in
-:mod:`repro.obs.sinks`.  The closed-loop controllers of
+:func:`stats_source` adapter lives in :mod:`repro.obs.sources`; ring-buffer,
+JSONL and log sinks in :mod:`repro.obs.sinks`.  The closed-loop controllers of
 :mod:`repro.control` consume records through the same sink protocol.
 """
 
 from .hub import MetricSource, MetricsHub, MetricsRecord
 from .sinks import JsonlSink, LogSink, MemorySink
-from .sources import (
-    batcher_depth_source,
-    cache_stats_source,
-    query_service_source,
-    screen_stats_source,
-    service_stats_source,
-    stats_source,
-)
+from .sources import batcher_depth_source, stats_source
 
 __all__ = [
     "JsonlSink",
@@ -29,9 +21,5 @@ __all__ = [
     "MetricsHub",
     "MetricsRecord",
     "batcher_depth_source",
-    "cache_stats_source",
-    "query_service_source",
-    "screen_stats_source",
-    "service_stats_source",
     "stats_source",
 ]

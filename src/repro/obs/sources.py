@@ -18,18 +18,17 @@ collects.  One probe order covers every stock object:
 
 After flattening, well-known derived quantities (``requests``,
 ``hit_rate``, ``verify_fraction``) found on the snapshot as properties or
-zero-argument methods are added — dataclass flattening only sees fields,
-and the control tuners key off exactly these rates.
+zero-argument methods are added — dataclass flattening only sees fields.
 
 The subject is duck-typed throughout, so this module never imports the
 service, raster or engine layers and cannot create an import cycle with
-them.  The historical per-type factories remain as thin wrappers over
-:func:`stats_source` (plus, for :func:`query_service_source`, the live
-batcher gauges for subjects predating the protocol).
+them.  The one other adapter, :func:`batcher_depth_source`, is an explicit
+projection onto a bare batcher's three gauges.
 
 Counter-valued metrics (submitted, hits, evictions, …) are cumulative; a
 consumer wanting per-interval rates takes deltas between consecutive
-records, which is exactly what the :mod:`repro.control` tuners do.
+records, which is exactly what :class:`repro.control.AdaptiveLatencyBudget`
+does.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ from typing import Callable, Dict, Mapping
 
 __all__ = [
     "batcher_depth_source",
-    "cache_stats_source",
-    "query_service_source",
-    "screen_stats_source",
-    "service_stats_source",
     "stats_source",
 ]
 
@@ -115,37 +110,6 @@ def stats_source(subject: object) -> Callable[[], Dict[str, float]]:
     return sample
 
 
-def service_stats_source(stats: object) -> Callable[[], Dict[str, float]]:
-    """Adapter over a :class:`repro.service.ServiceStats` (or any object
-    whose ``snapshot()`` returns a numeric dataclass)."""
-    return stats_source(stats)
-
-
-def query_service_source(service: object) -> Callable[[], Dict[str, float]]:
-    """Adapter over a :class:`repro.service.QueryService`.
-
-    The service snapshot's percentile/counter fields plus the live batcher
-    gauges the controllers key off: ``queue_depth`` (unsealed entries),
-    ``inflight_batches`` (sealed batches still executing — the congestion
-    signal) and the current ``latency_budget``.  The service's own
-    ``metrics_sample`` already includes the gauges; the fallback below
-    keeps subjects predating the protocol (a ``stats_snapshot()`` plus a
-    ``_batcher``) reporting the same shape.
-    """
-    generic = stats_source(service)
-
-    def sample() -> Dict[str, float]:
-        flat = generic()
-        batcher = getattr(service, "_batcher", None)
-        if batcher is not None:
-            flat.setdefault("queue_depth", float(batcher.queue_depth))
-            flat.setdefault("inflight_batches", float(batcher.inflight_batches))
-            flat.setdefault("latency_budget", float(batcher.latency_budget))
-        return flat
-
-    return sample
-
-
 def batcher_depth_source(batcher: object) -> Callable[[], Dict[str, float]]:
     """Adapter over a bare :class:`repro.service.MicroBatcher`'s gauges.
 
@@ -161,14 +125,3 @@ def batcher_depth_source(batcher: object) -> Callable[[], Dict[str, float]]:
 
     return sample
 
-
-def cache_stats_source(cache: object) -> Callable[[], Dict[str, float]]:
-    """Adapter over a :class:`repro.raster.TileCache` (or anything whose
-    ``stats()`` returns a :class:`~repro.raster.cache.CacheStats`-shaped
-    snapshot), including the derived ``requests`` / ``hit_rate``."""
-    return stats_source(cache)
-
-
-def screen_stats_source(stats: object) -> Callable[[], Dict[str, float]]:
-    """Adapter over a mixed-precision :class:`repro.engine.ScreenStats`."""
-    return stats_source(stats)

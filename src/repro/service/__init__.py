@@ -36,10 +36,9 @@ The pieces
     bit-identical to the uncached rasteriser).
 
 Both services accept ``metrics=`` (a :class:`repro.obs.MetricsHub` they
-report into) and ``controller=`` (a :class:`repro.control.Controller`
-closing the loop on the batcher's latency budget or the cache's byte
-budget); controllers are gated off automatically while an epoch swap is in
-progress.
+report into).  :class:`QueryService` also accepts ``controller=`` (a
+:class:`repro.control.Controller` closing the loop on the batcher's latency
+budget), gated off automatically while an epoch swap is in progress.
 
 Backend / service matrix
 ========================
@@ -47,22 +46,12 @@ Backend / service matrix
 The engine backend active when the service **starts** is captured (a
 :mod:`contextvars` context copy) and used for every dispatched batch:
 
-================  ===========================================================
-``numpy``         Supported, the default.  Fastest for the service's typical
-                  micro-batch sizes (hundreds to low thousands of points).
-``numba``         Supported when installed; warm the JIT (one throwaway
-                  batch) before starting, or the first micro-batch pays
-                  compilation inside its latency window.
-``multiprocess``  Supported **only** with ``dispatch_in_thread=True`` (the
-                  default).  Its worker pool is process-global state and its
-                  ``future.result()`` calls block; on a dispatch thread that
-                  blocking is harmless, but inline on the event loop
-                  (``dispatch_in_thread=False``) it would stall every timer
-                  and submitter between batches — don't combine the two.
-                  Note the default instance falls through to numpy below
-                  2048 points, which typical micro-batches are.
-``reference``     Works, but ~100x slower; only sensible in tests.
-================  ===========================================================
+==================  =========================================================
+``numpy``           Supported, the default.
+``float32-screen``  Supported; answers bit-identical to ``numpy``, with the
+                    float32 screen in front of each decision query.
+``reference``       Works, but ~100x slower; only sensible in tests.
+==================  =========================================================
 
 Quick use::
 

@@ -26,9 +26,7 @@ Concurrency contract
   flight; further ``submit`` calls wait (asynchronously) for capacity;
 * the engine call runs on a dedicated worker thread by default
   (``dispatch_in_thread=True``), so the event loop keeps accumulating and
-  sealing batches on schedule while the engine computes — including when
-  the active engine backend is ``"multiprocess"``, whose blocking
-  ``future.result()`` calls must never run on the loop thread (see
+  sealing batches on schedule while the engine computes (see
   :mod:`repro.service` for the supported backend/service matrix);
 * the :mod:`contextvars` context captured at :meth:`start` is used for
   every engine call, so ``use_backend(...)`` / ``use_locator(...)``
@@ -112,8 +110,7 @@ class MicroBatcher(Component):
         max_batch_size: seal as soon as this many queries have accumulated.
         max_pending: backpressure bound on queued + in-flight queries.
         dispatch_in_thread: run engine calls on a worker thread (keeps the
-            event loop live; required for the ``"multiprocess"`` backend).
-            ``False`` runs them inline on the loop — only safe for fast
+            event loop live).  ``False`` runs them inline on the loop — only safe for fast
             in-process backends, and it stalls batch timing meanwhile.
         dispatch_workers: worker-thread count when ``dispatch_in_thread``;
             more than one lets slow engine calls overlap (answers stay

@@ -56,16 +56,9 @@ class RasterService(Component):
         max_concurrency: optional cap on simultaneously running
             rasterisations (``None`` leaves scheduling to the executor).
         metrics: an optional :class:`repro.obs.MetricsHub`; the service
-            registers a :func:`repro.obs.cache_stats_source` over its cache
-            under a unique name (``"cache"`` when free).  The hub's
-            lifecycle stays with the caller — a :class:`RasterService` has
-            no start/stop of its own to own a periodic task, so
-            ``controller=`` requires ``metrics=``.
-        controller: an optional :class:`repro.control.Controller` (e.g.
-            :class:`repro.control.CacheBudgetTuner`) closing the loop on
-            the tile cache's byte budget: bound to the cache, pointed at
-            this service's metrics source, gated off while
-            :meth:`swap_network` runs, and registered as a hub sink.
+            registers a :func:`repro.obs.stats_source` over its cache under
+            a unique name (``"cache"`` when free).  The hub's lifecycle
+            stays with the caller.
     """
 
     def __init__(
@@ -77,7 +70,6 @@ class RasterService(Component):
         max_concurrency: Optional[int] = None,
         tile_size: Optional[int] = None,
         metrics: Optional[object] = None,
-        controller: Optional[object] = None,
     ):
         if cache is not None and (max_bytes is not None or tile_size is not None):
             raise ServiceError(
@@ -107,31 +99,16 @@ class RasterService(Component):
         # engine-backend selection active when the service was built.
         self._context = contextvars.copy_context()
         self._epoch = EpochCoordinator()
-        if controller is not None and metrics is None:
-            raise ServiceError(
-                "a RasterService controller needs a metrics hub to feed it "
-                "(the service has no lifecycle of its own to run one); pass "
-                "metrics= alongside controller="
-            )
         self.metrics = metrics
-        self.controller = controller
         self._metrics_source_name: Optional[str] = None
         if metrics is not None:
             # Lazy import: obs duck-types its subjects and never imports the
             # service tier, so this cannot cycle.
-            from ..obs import cache_stats_source
+            from ..obs import stats_source
 
             name = metrics.unique_source_name("cache")
-            metrics.add_source(name, cache_stats_source(self.cache))
+            metrics.add_source(name, stats_source(self.cache))
             self._metrics_source_name = name
-            if controller is not None:
-                if hasattr(controller, "source"):
-                    controller.source = name
-                if callable(getattr(controller, "set_gate", None)):
-                    controller.set_gate(self._epoch.gate())
-                if callable(getattr(controller, "bind", None)):
-                    controller.bind(self.cache)
-                metrics.add_sink(controller)
 
     # -- lifecycle -------------------------------------------------------
     lifecycle_error = ServiceError
@@ -143,7 +120,7 @@ class RasterService(Component):
         self.detach_metrics()
 
     def detach_metrics(self) -> None:
-        """Withdraw this service's source (and controller sink) from the hub.
+        """Withdraw this service's source from the hub.
 
         Call when retiring the service while its hub lives on; idempotent.
         """
@@ -152,8 +129,6 @@ class RasterService(Component):
         if self._metrics_source_name is not None:
             self.metrics.remove_source(self._metrics_source_name)
             self._metrics_source_name = None
-        if self.controller is not None:
-            self.metrics.remove_sink(self.controller)
 
     async def _run_bounded(self, call: Callable):
         """Run ``call`` on an executor thread, under the concurrency cap."""
@@ -222,10 +197,8 @@ class RasterService(Component):
         the network they started with.
         """
         self._ensure_open()
-        # Gate any attached controller while invalidation runs: a budget
-        # decision computed against pre-swap hit rates must not evict or
-        # grow mid-invalidation.  The coordinator's sync guard also counts
-        # the completed swap as one epoch.
+        # The coordinator's sync guard marks the swap in progress while
+        # invalidation runs and counts the completed swap as one epoch.
         with self._epoch.guard():
             if new_network.fingerprint != self.network.fingerprint:
                 counts = invalidate_for_delta(

@@ -72,10 +72,10 @@ class QueryService(Component):
             ``locator`` is a name (e.g. ``{"epsilon": 0.3}`` or
             ``{"shards": 8}``).
         metrics: an optional :class:`repro.obs.MetricsHub` to report into.
-            The service registers a :func:`repro.obs.query_service_source`
-            under a unique name (``"service"`` when free) at construction
-            and deregisters it — plus any controller sink — when stopped;
-            the hub's own lifecycle stays with the caller.
+            The service registers a :func:`repro.obs.stats_source` over
+            itself under a unique name (``"service"`` when free) at
+            construction and deregisters it — plus any controller sink —
+            when stopped; the hub's own lifecycle stays with the caller.
         controller: an optional :class:`repro.control.Controller` (e.g.
             :class:`repro.control.AdaptiveLatencyBudget`) closing the loop
             on this service's batcher.  It is bound to the batcher, pointed
@@ -139,10 +139,10 @@ class QueryService(Component):
         self.controller = controller
         self._metrics_source_name: Optional[str] = None
         if metrics is not None:
-            from ..obs import query_service_source
+            from ..obs import stats_source
 
             name = metrics.unique_source_name("service")
-            metrics.add_source(name, query_service_source(self))
+            metrics.add_source(name, stats_source(self))
             self._metrics_source_name = name
             if controller is not None:
                 # getattr/setattr narrowing: controllers are duck-typed (any
@@ -307,10 +307,10 @@ class QueryService(Component):
         """Snapshot counters plus the live batcher gauges, as one flat sample.
 
         The :class:`~repro.runtime.StatsSource` protocol — what
-        :func:`repro.obs.query_service_source` (and therefore the metrics
-        hub) samples: the percentile/counter fields of
-        :meth:`stats_snapshot` plus ``queue_depth``, ``inflight_batches``
-        and the current ``latency_budget``.
+        :func:`repro.obs.stats_source` (and therefore the metrics hub)
+        samples: the percentile/counter fields of :meth:`stats_snapshot`
+        plus ``queue_depth``, ``inflight_batches`` and the current
+        ``latency_budget``.
         """
         sample = self.stats.metrics_sample()
         sample.update(self._batcher.metrics_sample())

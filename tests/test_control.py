@@ -3,8 +3,7 @@
 The AIMD latency-budget law is unit-tested against synthetic metrics
 records (each rule in isolation: SLO shrink beats pressure growth, growth
 is additive and capped, light traffic decays the budget, everything else
-holds); the actuation surfaces (``MicroBatcher.set_latency_budget``,
-``TileCache.set_byte_budget``, ``repro.engine.set_chunk_byte_budget``) are
+holds); the actuation surface (``MicroBatcher.set_latency_budget``) is
 tested directly, including the live re-arm of a batch already waiting
 under the old deadline.  Integration tests wire a controller through a
 real service and assert the swap gate: control decisions never fire while
@@ -17,21 +16,9 @@ import asyncio
 
 import pytest
 
-from repro.control import (
-    AdaptiveLatencyBudget,
-    CacheBudgetTuner,
-    ChunkBytesTuner,
-    Controller,
-)
-from repro.engine import DEFAULT_CHUNK_BYTES, chunk_byte_budget, set_chunk_byte_budget
-from repro.exceptions import (
-    ControlError,
-    EngineError,
-    RasterCacheError,
-    ServiceError,
-)
+from repro.control import AdaptiveLatencyBudget, Controller
+from repro.exceptions import ControlError, ServiceError
 from repro.obs import MetricsHub, MetricsRecord
-from repro.raster import TileCache
 from repro.service import MicroBatcher, QueryService
 
 from test_service import FakeLocator, GatedLocator
@@ -264,197 +251,6 @@ class TestSetLatencyBudget:
                 await batcher.stop()
 
         run(main())
-
-
-# ----------------------------------------------------------------------
-# Actuation surface: TileCache.set_byte_budget
-# ----------------------------------------------------------------------
-class FakeTile:
-    def __init__(self, nbytes: int):
-        self.nbytes = nbytes
-
-
-class TestSetByteBudget:
-    def fill(self, cache: TileCache, count: int, nbytes: int = 100):
-        for index in range(count):
-            cache.get_or_compute(("fp", index), lambda: FakeTile(nbytes))
-
-    def test_shrink_evicts_lru_immediately(self):
-        cache = TileCache(max_bytes=1000)
-        self.fill(cache, 10)  # exactly at budget
-        evicted = cache.set_byte_budget(500)
-        assert evicted == 5
-        stats = cache.stats()
-        assert stats.tiles == 5 and stats.stored_bytes == 500
-        assert stats.max_bytes == 500 and stats.evictions == 5
-        # The survivors are the most recently used half.
-        for index in range(5, 10):
-            cache.get_or_compute(("fp", index), lambda: FakeTile(100))
-        assert cache.stats().misses == 10  # no recomputation needed
-
-    def test_grow_is_lazy(self):
-        cache = TileCache(max_bytes=500)
-        self.fill(cache, 5)
-        assert cache.set_byte_budget(2000) == 0
-        assert cache.stats().tiles == 5
-        self.fill(cache, 15)  # now fits without evicting
-        assert cache.stats().evictions == 0
-
-    def test_invalid_budget_rejected(self):
-        cache = TileCache(max_bytes=500)
-        with pytest.raises(RasterCacheError):
-            cache.set_byte_budget(0)
-
-
-# ----------------------------------------------------------------------
-# CacheBudgetTuner
-# ----------------------------------------------------------------------
-def cache_record(sequence: int, **metrics: float) -> MetricsRecord:
-    return MetricsRecord(
-        sequence=sequence, timestamp=float(sequence), values={"cache": dict(metrics)}
-    )
-
-
-class TestCacheBudgetTuner:
-    def test_grows_on_thrashing(self):
-        cache = TileCache(max_bytes=1000)
-        tuner = CacheBudgetTuner(min_bytes=500, max_bytes=4000).bind(cache)
-        tuner.emit(cache_record(1, hits=0, misses=0, evictions=0,
-                                max_bytes=1000, stored_bytes=0))
-        # Interval: 10 lookups, 2 hits, evictions happening -> thrash.
-        tuner.emit(cache_record(2, hits=2, misses=8, evictions=6,
-                                max_bytes=1000, stored_bytes=1000))
-        assert tuner.grows == 1 and cache.max_bytes == 1500
-
-    def test_holds_when_evictions_but_hit_rate_is_fine(self):
-        cache = TileCache(max_bytes=1000)
-        tuner = CacheBudgetTuner(
-            min_bytes=500, max_bytes=4000, target_hit_rate=0.5
-        ).bind(cache)
-        tuner.emit(cache_record(1, hits=0, misses=0, evictions=0,
-                                max_bytes=1000, stored_bytes=0))
-        tuner.emit(cache_record(2, hits=9, misses=1, evictions=1,
-                                max_bytes=1000, stored_bytes=1000))
-        assert tuner.holds == 2 and cache.max_bytes == 1000
-
-    def test_shrinks_idle_headroom_but_never_the_resident_set(self):
-        cache = TileCache(max_bytes=4000)
-        for index in range(3):
-            cache.get_or_compute(("fp", index), lambda: FakeTile(500))
-        tuner = CacheBudgetTuner(min_bytes=500, max_bytes=8000).bind(cache)
-        tuner.emit(cache_record(1, hits=0, misses=3, evictions=0,
-                                max_bytes=4000, stored_bytes=1500))
-        # All-hit interval with the store well under budget: reclaim headroom.
-        tuner.emit(cache_record(2, hits=50, misses=3, evictions=0,
-                                max_bytes=4000, stored_bytes=1500))
-        assert tuner.shrinks == 1
-        assert cache.max_bytes == 3200  # 4000 * 0.8
-        assert cache.stats().evictions == 0  # resident tiles untouched
-        # Repeated shrinks floor out at the resident set, never below.
-        for sequence in range(3, 10):
-            tuner.emit(cache_record(sequence, hits=50 * sequence, misses=3,
-                                    evictions=0, max_bytes=cache.max_bytes,
-                                    stored_bytes=1500))
-        assert cache.max_bytes >= 1500 and cache.stats().evictions == 0
-
-    def test_observe_unbound_raises(self):
-        with pytest.raises(ControlError, match="bind"):
-            CacheBudgetTuner().observe(cache_record(1))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(min_bytes=0),
-            dict(min_bytes=100, max_bytes=50),
-            dict(target_hit_rate=1.5),
-            dict(grow_factor=1.0),
-            dict(shrink_factor=1.0),
-        ],
-    )
-    def test_invalid_parameters_rejected(self, bad):
-        with pytest.raises(ControlError):
-            CacheBudgetTuner(**bad)
-
-
-# ----------------------------------------------------------------------
-# ChunkBytesTuner + the engine override it actuates
-# ----------------------------------------------------------------------
-@pytest.fixture(autouse=True)
-def clear_chunk_override():
-    """The chunk override is process-global: never leak it across tests."""
-    yield
-    set_chunk_byte_budget(None)
-
-
-class TestChunkOverride:
-    def test_override_wins_and_clears(self):
-        assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
-        set_chunk_byte_budget(12_345_678)
-        assert chunk_byte_budget() == 12_345_678
-        set_chunk_byte_budget(None)
-        assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
-
-    def test_invalid_override_rejected(self):
-        with pytest.raises(EngineError):
-            set_chunk_byte_budget(0)
-        with pytest.raises(EngineError):
-            set_chunk_byte_budget(-4096)
-
-
-class TestChunkBytesTuner:
-    def test_installs_the_measured_argmin(self):
-        ticks = iter(range(100))
-        tuner = ChunkBytesTuner(
-            candidates=(1000, 2000, 3000), repeats=1,
-            timer=lambda: float(next(ticks)),
-        )
-        durations = {1000: 9.0, 2000: 2.0, 3000: 7.0}
-
-        def probe():
-            # Burn fake time proportional to the active candidate's score.
-            active = chunk_byte_budget()
-            for _ in range(int(durations[active]) - 1):
-                next(ticks)
-
-        chosen = tuner.tune(probe)
-        assert chosen == 2000
-        assert tuner.chosen == 2000
-        assert chunk_byte_budget() == 2000  # winner left installed
-        assert tuner.timings[2000] < tuner.timings[3000] < tuner.timings[1000]
-
-    def test_min_of_repeats_scores_noise_robustly(self):
-        clock = [0.0]
-
-        def timer():
-            return clock[0]
-
-        tuner = ChunkBytesTuner(candidates=(1000, 2000), repeats=3, timer=timer)
-        noisy = iter([5.0, 1.0, 5.0, 2.0, 2.0, 2.0])  # min: 1000 -> 1, 2000 -> 2
-
-        def probe():
-            clock[0] += next(noisy)
-
-        assert tuner.tune(probe) == 1000
-
-    def test_probe_failure_clears_the_override(self):
-        set_chunk_byte_budget(999_999)
-        tuner = ChunkBytesTuner(candidates=(1000,), repeats=1,
-                                timer=lambda: 0.0)
-
-        def probe():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            tuner.tune(probe)
-        assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES  # override cleared
-
-    @pytest.mark.parametrize(
-        "bad",
-        [dict(candidates=()), dict(candidates=(0,)), dict(repeats=0)],
-    )
-    def test_invalid_parameters_rejected(self, bad):
-        with pytest.raises(ControlError):
-            ChunkBytesTuner(**bad)
 
 
 # ----------------------------------------------------------------------

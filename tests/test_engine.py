@@ -2,8 +2,8 @@
 
 Four families:
 
-* backend equivalence — every registered backend (numpy, multiprocess, and
-  numba when installed) agrees with the pure-Python reference backend on
+* backend equivalence — every registered backend (numpy and
+  float32-screen) agrees with the pure-Python reference backend on
   randomized networks within 1e-9, including the coincident-point and
   overflow-close columns;
 * backend selection — the ContextVar-backed registry: nesting, exception
@@ -26,11 +26,7 @@ import pytest
 from repro import Point, SINRDiagram, Station, WirelessNetwork
 from repro.engine import (
     DEFAULT_CHUNK_BYTES,
-    GPU_AVAILABLE,
-    NUMBA_AVAILABLE,
-    GpuBackend,
-    MultiprocessBackend,
-    NumbaBackend,
+    NumpyBackend,
     active_backend,
     as_points_array,
     available_backends,
@@ -58,46 +54,13 @@ from repro.pointlocation import (
 )
 from seeded_workloads import query_box_array, seeded_network
 
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-needs_gpu = pytest.mark.skipif(
-    not GPU_AVAILABLE, reason="cupy or a CUDA device not available"
-)
-
-#: Optional backends and the skip conditions of their CI legs.
-_OPTIONAL_MARKS = {"numba": needs_numba, "gpu": needs_gpu}
-
-#: Every backend that must agree with the "reference" ground truth.  The
-#: optional entries ("numba", "gpu") are always present in the matrix and
-#: skip-marked when their dependency is missing, so CI stays green either
-#: way; newly registered backends (e.g. "float32-screen") join
-#: automatically.
-CANDIDATE_BACKENDS = [
-    pytest.param(name, marks=_OPTIONAL_MARKS[name])
-    if name in _OPTIONAL_MARKS
-    else name
-    for name in sorted(
-        set(available_backends()) - {"reference"} | set(_OPTIONAL_MARKS)
-    )
-]
-
-
-@pytest.fixture(scope="module")
-def pooled_multiprocess():
-    """A multiprocess backend whose pool is genuinely exercised.
-
-    The registered default falls through to numpy below 2048 points, which
-    would make the equivalence tests vacuous; this instance shards every
-    batch of >= 2 points across two real worker processes.
-    """
-    backend = MultiprocessBackend(workers=2, min_batch_size=1)
-    yield backend
-    backend.close()
+#: Every backend that must agree with the "reference" ground truth; newly
+#: registered backends join automatically.
+CANDIDATE_BACKENDS = sorted(set(available_backends()) - {"reference"})
 
 
 @pytest.fixture(params=CANDIDATE_BACKENDS)
-def candidate_backend(request, pooled_multiprocess):
-    if request.param == "multiprocess":
-        return pooled_multiprocess
+def candidate_backend(request):
     return get_backend(request.param)
 
 
@@ -181,15 +144,13 @@ class TestBackendSelection:
 
     def test_registered_backend_matrix(self):
         names = set(available_backends())
-        assert {"numpy", "reference", "multiprocess", "float32-screen"} <= names
-        assert ("numba" in names) == NUMBA_AVAILABLE
-        assert ("gpu" in names) == GPU_AVAILABLE
+        assert {"numpy", "reference", "float32-screen"} <= names
 
     def test_use_backend_nesting_unwinds_in_order(self):
         with use_backend("reference"):
             assert active_backend().name == "reference"
-            with use_backend("multiprocess"):
-                assert active_backend().name == "multiprocess"
+            with use_backend("float32-screen"):
+                assert active_backend().name == "float32-screen"
             assert active_backend().name == "reference"
         assert active_backend().name == "numpy"
 
@@ -216,19 +177,22 @@ class TestBackendSelection:
 
         threads = [
             threading.Thread(target=worker, args=(name,))
-            for name in ("reference", "multiprocess")
+            for name in ("reference", "float32-screen")
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert not errors
-        assert seen == {"reference": "reference", "multiprocess": "multiprocess"}
+        assert seen == {
+            "reference": "reference",
+            "float32-screen": "float32-screen",
+        }
         # The main thread's selection never saw either of them.
         assert active_backend().name == "numpy"
 
     def test_use_backend_accepts_backend_object(self):
-        backend = MultiprocessBackend(workers=1)
+        backend = NumpyBackend()
         with use_backend(backend) as selected:
             assert selected is backend
             assert active_backend() is backend
@@ -319,148 +283,6 @@ class TestBackendEquivalence:
             heard_station_batch(network, points, backend=candidate_backend),
             heard_station_batch(network, points, backend="reference"),
         )
-
-
-# ----------------------------------------------------------------------
-# Backend-specific behaviour
-# ----------------------------------------------------------------------
-class TestMultiprocessBackend:
-    def test_small_batches_fall_through_without_a_pool(self):
-        backend = MultiprocessBackend(workers=4, min_batch_size=1_000_000)
-        network = random_network(seed=30)
-        points = queries_for(network, count=64)
-        np.testing.assert_allclose(
-            sinr_batch(network, points, backend=backend),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=0,
-        )
-        assert backend._executor is None  # never paid pool start-up
-
-    def test_large_batches_use_the_pool(self, pooled_multiprocess):
-        network = random_network(seed=31)
-        points = queries_for(network, count=64)
-        labels = heard_station_batch(network, points, backend=pooled_multiprocess)
-        assert pooled_multiprocess._executor is not None
-        np.testing.assert_array_equal(
-            labels, heard_station_batch(network, points, backend="numpy")
-        )
-
-    def test_single_worker_never_shards(self):
-        backend = MultiprocessBackend(workers=1, min_batch_size=1)
-        network = random_network(seed=32)
-        points = queries_for(network, count=32)
-        np.testing.assert_array_equal(
-            strongest_station_batch(network, points, backend=backend),
-            strongest_station_batch(network, points, backend="numpy"),
-        )
-        assert backend._executor is None
-
-    def test_worker_count_validation_and_close(self):
-        with pytest.raises(ValueError):
-            MultiprocessBackend(workers=0)
-        with MultiprocessBackend(workers=2, min_batch_size=1) as backend:
-            network = random_network(seed=33)
-            points = queries_for(network, count=16)
-            sinr_batch(network, points, backend=backend)
-        assert backend._executor is None  # context exit closed the pool
-
-    def test_empty_batch(self, pooled_multiprocess):
-        network = random_network(seed=34)
-        assert sinr_batch(network, [], backend=pooled_multiprocess).shape == (
-            len(network),
-            0,
-        )
-
-
-class TestNumbaBackend:
-    @needs_numba
-    def test_registered_and_selectable(self):
-        assert "numba" in available_backends()
-        with use_backend("numba"):
-            assert active_backend().name == "numba"
-
-    @needs_numba
-    def test_agrees_with_numpy_on_a_quick_workload(self):
-        network = random_network(seed=40)
-        points = queries_for(network, count=50)
-        np.testing.assert_allclose(
-            sinr_batch(network, points, backend="numba"),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=1e-12,
-        )
-
-    def test_kernel_logic_matches_numpy_even_without_jit(self):
-        # Without numba the @njit placeholder leaves the kernel definitions
-        # as plain Python functions, so their loop logic is verifiable with
-        # or without the optional dependency.  Coincident columns are
-        # included; pow-overflow columns are not, because pure Python raises
-        # OverflowError where compiled code saturates to inf (that edge is
-        # covered by the equivalence tests on the [numba] CI leg).
-        from repro.engine import numba_backend as nb
-
-        network = random_network(seed=41)
-        coords = np.ascontiguousarray(network.coords, dtype=np.float64)
-        powers = np.ascontiguousarray(network.powers_array(), dtype=np.float64)
-        points = np.ascontiguousarray(
-            np.vstack([network.coords, queries_for(network, count=40)])
-        )
-        noise, beta, alpha = network.noise, network.beta, network.alpha
-
-        np.testing.assert_array_equal(
-            nb._energy_matrix(coords, powers, points, alpha) == np.inf,
-            energy_batch(network, points) == np.inf,
-        )
-        np.testing.assert_allclose(
-            nb._sinr_matrix(coords, powers, points, noise, alpha),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=1e-12,
-        )
-        np.testing.assert_array_equal(
-            nb._strongest_station(coords, powers, points, alpha),
-            strongest_station_batch(network, points, backend="numpy"),
-        )
-        np.testing.assert_array_equal(
-            nb._received_mask_matrix(coords, powers, points, noise, beta, alpha),
-            get_backend("numpy").received_mask_matrix(
-                coords, powers, points, noise, beta, alpha
-            ),
-        )
-        np.testing.assert_array_equal(
-            nb._heard_station(coords, powers, points, noise, beta, alpha, -1),
-            heard_station_batch(network, points, backend="numpy"),
-        )
-
-    @pytest.mark.skipif(
-        NUMBA_AVAILABLE, reason="error path only exists without numba"
-    )
-    def test_missing_dependency_raises_clear_error(self):
-        assert "numba" not in available_backends()
-        with pytest.raises(ReproError, match="numba"):
-            NumbaBackend()
-        with pytest.raises(ReproError, match="available"):
-            get_backend("numba")
-
-
-class TestGpuBackend:
-    @pytest.mark.skipif(
-        GPU_AVAILABLE, reason="error path only exists without a CUDA device"
-    )
-    def test_missing_dependency_skips_registration_cleanly(self):
-        assert "gpu" not in available_backends()
-        with pytest.raises(ReproError, match="gpu"):
-            GpuBackend()
-        with pytest.raises(ReproError, match="available"):
-            get_backend("gpu")
-
-    @needs_gpu
-    def test_registered_and_bit_identical_to_numpy(self):
-        network = random_network(seed=44)
-        points = np.vstack([queries_for(network, count=300), network.coords])
-        for fn in (heard_station_batch, strongest_station_batch):
-            np.testing.assert_array_equal(
-                fn(network, points, backend="gpu"),
-                fn(network, points, backend="numpy"),
-            )
 
 
 # ----------------------------------------------------------------------

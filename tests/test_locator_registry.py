@@ -59,6 +59,20 @@ def truth(network, queries):
     return BruteForceLocator(network).locate_batch(queries)
 
 
+@pytest.fixture(scope="module")
+def built(network):
+    """``built(name, options)``: each sweep entry is built once per module
+    and shared by every contract test (a ``theorem3`` build takes ~10 s)."""
+    cache = {}
+
+    def build(name, options):
+        if name not in cache:
+            cache[name] = get_locator(name).build(network, **options)
+        return cache[name]
+
+    return build
+
+
 class TestRegistry:
     def test_base_locators_are_registered(self):
         names = available_locators()
@@ -122,8 +136,10 @@ class TestLocatorContract:
     """The satellite contract: int64 dtype, -1 sentinel, scalar agreement."""
 
     @pytest.mark.parametrize("name,options", CONTRACT_SWEEP)
-    def test_uniform_int64_contract(self, network, queries, truth, name, options):
-        locator = get_locator(name).build(network, **options)
+    def test_uniform_int64_contract(
+        self, network, queries, truth, built, name, options
+    ):
+        locator = built(name, options)
         labels = locator.locate_batch(queries)
         assert isinstance(labels, np.ndarray)
         assert labels.dtype == np.int64
@@ -136,8 +152,8 @@ class TestLocatorContract:
         np.testing.assert_array_equal(labels, truth)
 
     @pytest.mark.parametrize("name,options", CONTRACT_SWEEP)
-    def test_scalar_locate_agrees_with_batch(self, network, queries, name, options):
-        locator = get_locator(name).build(network, **options)
+    def test_scalar_locate_agrees_with_batch(self, queries, built, name, options):
+        locator = built(name, options)
         sample = queries[:60]
         labels = locator.locate_batch(sample)
         for (x, y), label in zip(sample, labels):
@@ -146,8 +162,8 @@ class TestLocatorContract:
             assert scalar == label
 
     @pytest.mark.parametrize("name,options", CONTRACT_SWEEP)
-    def test_empty_and_single_batches(self, network, name, options):
-        locator = get_locator(name).build(network, **options)
+    def test_empty_and_single_batches(self, built, name, options):
+        locator = built(name, options)
         empty = locator.locate_batch([])
         assert empty.dtype == np.int64
         assert empty.shape == (0,)
@@ -155,8 +171,8 @@ class TestLocatorContract:
         assert single.shape == (1,)
 
     @pytest.mark.parametrize("name,options", CONTRACT_SWEEP)
-    def test_protocol_conformance(self, network, name, options):
-        locator = get_locator(name).build(network, **options)
+    def test_protocol_conformance(self, network, built, name, options):
+        locator = built(name, options)
         assert isinstance(locator, Locator)
         assert locator.network is network or locator.network == network
         assert isinstance(locator.name, str)

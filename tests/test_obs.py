@@ -27,10 +27,7 @@ from repro.obs import (
     MetricsHub,
     MetricsRecord,
     batcher_depth_source,
-    cache_stats_source,
-    query_service_source,
-    screen_stats_source,
-    service_stats_source,
+    stats_source,
 )
 from repro.raster import TileCache
 from repro.service import MicroBatcher, QueryService, ServiceStats
@@ -152,7 +149,7 @@ class TestSinks:
         path = tmp_path / "metrics.jsonl"
         hub = MetricsHub(interval=1.0)
         stats = ServiceStats()  # all percentiles still nan
-        hub.add_source("service", service_stats_source(stats))
+        hub.add_source("service", stats_source(stats))
         hub.add_source("plain", lambda: {"x": 1.5, "inf": math.inf})
         with JsonlSink(path) as sink:
             hub.add_sink(sink)
@@ -187,7 +184,7 @@ class TestSources:
         stats.record_submitted()
         stats.record_batch(1, [0.001])
         stats.record_completed(0.002)
-        sample = service_stats_source(stats)()
+        sample = stats_source(stats)()
         assert sample["submitted"] == 1.0
         assert sample["batches"] == 1.0
         assert sample["wait_p99"] == pytest.approx(0.001)
@@ -195,7 +192,7 @@ class TestSources:
 
     def test_cache_stats_source_includes_derived_rates(self):
         cache = TileCache(max_bytes=1 << 20)
-        sample = cache_stats_source(cache)()
+        sample = stats_source(cache)()
         assert sample["hits"] == 0.0 and sample["hit_rate"] == 0.0
         assert sample["max_bytes"] == float(1 << 20)
         assert sample["requests"] == 0.0
@@ -208,7 +205,7 @@ class TestSources:
             def verify_fraction(self):
                 return self.verified / self.screened
 
-        sample = screen_stats_source(FakeScreen())()
+        sample = stats_source(FakeScreen())()
         assert sample == {"screened": 10.0, "verified": 4.0, "verify_fraction": 0.4}
 
     def test_batcher_gauges_sources(self, ten_station_network):
@@ -229,7 +226,7 @@ class TestSources:
             service = QueryService(ten_station_network, "voronoi")
             async with service:
                 await service.locate((1.0, 1.0))
-                sample = query_service_source(service)()
+                sample = stats_source(service)()
             assert sample["completed"] == 1.0
             assert sample["queue_depth"] == 0.0
             assert sample["latency_budget"] == service._batcher.latency_budget

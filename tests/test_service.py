@@ -12,7 +12,7 @@ is honoured within tolerance.
 No pytest-asyncio dependency: every test drives its coroutine with
 ``asyncio.run`` through the :func:`run` helper (which adds a watchdog
 timeout so a service deadlock fails the test instead of hanging the
-suite — the multiprocess-backend regression relies on this).
+suite).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import MultiprocessBackend, use_backend
+from repro.engine import use_backend
 from repro.exceptions import ServiceClosedError, ServiceError
 from repro.pointlocation import build_locator
 from repro.service import (
@@ -601,37 +601,9 @@ class TestEngineFailures:
 
 
 # ----------------------------------------------------------------------
-# Engine backend interplay (the multiprocess regression)
+# Engine backend interplay
 # ----------------------------------------------------------------------
 class TestBackendInterplay:
-    def test_multiprocess_backend_round_trips(self, network, queries, truth):
-        """Regression: the process-global multiprocess pool and the service
-        event loop must not deadlock.  The pool's blocking future.result()
-        runs on the dispatch thread, never on the loop; the watchdog in
-        run() turns a deadlock into a failure."""
-        backend = MultiprocessBackend(workers=2, min_batch_size=1)
-
-        async def main():
-            with use_backend(backend):
-                async with QueryService(
-                    network, "voronoi", latency_budget=0.002, max_batch_size=256
-                ) as service:
-                    return await service.locate_many(queries[:400])
-
-        try:
-            answers = run(main())
-        finally:
-            backend.close()
-        np.testing.assert_array_equal(answers, truth[:400])
-
-    def test_registered_multiprocess_name_round_trips(self, network, queries,
-                                                      truth):
-        """The registered "multiprocess" default (numpy fall-through below
-        2048 points) through the sync facade."""
-        with use_backend("multiprocess"):
-            answers = serve_points(network, queries[:200], "voronoi")
-        np.testing.assert_array_equal(answers, truth[:200])
-
     def test_backend_selection_propagates_to_dispatch_thread(self, network,
                                                              queries, truth):
         """use_backend() before start() governs dispatched batches even
