@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,60 @@ class TestBackendEquivalence:
             heard_station_batch(network, points, backend=candidate_backend),
             heard_station_batch(network, points, backend="reference"),
         )
+
+
+# ----------------------------------------------------------------------
+# The chunk budget knob (REPRO_ENGINE_CHUNK_BYTES, the only chunk override)
+# ----------------------------------------------------------------------
+class TestChunkBudgetKnob:
+    def test_unset_knob_uses_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES", raising=False)
+        assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES == 64 * 1024 * 1024
+
+    def test_knob_is_reread_on_every_call(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", "12345678")
+        assert chunk_byte_budget() == 12_345_678
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", "4096")
+        assert chunk_byte_budget() == 4096
+        monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES")
+        assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
+
+    @pytest.mark.parametrize("raw", ["4096", " 4096 ", "+4096", "0004096"])
+    def test_integer_spellings_are_accepted(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chunk_byte_budget() == 4096
+
+    @pytest.mark.parametrize("raw", ["1.5", "64MiB", "1e6", "0x10"])
+    def test_non_integer_values_warn_and_use_default(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", raw)
+        with pytest.warns(UserWarning, match="expected a positive integer"):
+            assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
+
+    @pytest.mark.parametrize("raw", ["", "   "])
+    def test_blank_knob_counts_as_unset_without_warning(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
+
+    @pytest.mark.parametrize("n_stations", [1, 7, 64])
+    def test_points_per_chunk_fits_the_budget(self, monkeypatch, n_stations):
+        """A chunk's float64 ``(n, chunk)`` temporaries fit the budget, and
+        one more point would not."""
+        budget = 1_000_000
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+        step = points_per_chunk(n_stations)
+        assert step >= 1
+        assert step * n_stations * 8 <= budget
+        assert points_per_chunk(n_stations + 1) <= step
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(2 * budget))
+        assert points_per_chunk(n_stations) >= 2 * step
+
+    def test_zero_stations_budget_like_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", "1000000")
+        assert points_per_chunk(0) == points_per_chunk(1) >= 1
 
 
 # ----------------------------------------------------------------------

@@ -300,6 +300,65 @@ class TestLateBoundInner:
         )
 
 
+#: Every screened kernel, called directly on the backend: the batch API tiles
+#: points more finely than the screen does, so only direct calls reach the
+#: screen's own chunk loop with more than one chunk.
+_SCREEN_KERNELS = {
+    "strongest_station": lambda b, net, pts, idx: b.strongest_station(
+        net.coords, net.powers_array(), pts, net.alpha
+    ),
+    "received_mask_matrix": lambda b, net, pts, idx: b.received_mask_matrix(
+        net.coords, net.powers_array(), pts, net.noise, net.beta, net.alpha
+    ),
+    "heard_station": lambda b, net, pts, idx: b.heard_station(
+        net.coords, net.powers_array(), pts, net.noise, net.beta, net.alpha, -1
+    ),
+    "received_mask_at": lambda b, net, pts, idx: b.received_mask_at(
+        net.coords, net.powers_array(), pts, idx, net.noise, net.beta, net.alpha
+    ),
+    "received_mask_row": lambda b, net, pts, idx: b.received_mask_row(
+        net.coords, net.powers_array(), pts, 1, net.noise, net.beta, net.alpha
+    ),
+}
+
+
+class TestScreenKernelChunking:
+    """The screen's chunk loop is exact and screens every point once."""
+
+    @staticmethod
+    def workload():
+        network = network_6(seed=95)
+        # Generic points plus the station sites themselves, so some columns
+        # of every chunking are routed through the verify path.
+        points = np.vstack([query_box_array(network, 300, seed=96), network.coords])
+        indices = np.arange(len(points)) % len(network)
+        return network, points, indices
+
+    @pytest.mark.parametrize("kernel", sorted(_SCREEN_KERNELS))
+    @pytest.mark.parametrize("budget", [1, 4_000, 40_000])
+    def test_chunked_kernel_bit_identical_to_numpy(self, monkeypatch, kernel, budget):
+        network, points, indices = self.workload()
+        call = _SCREEN_KERNELS[kernel]
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+        screen = Float32ScreenBackend()
+        got = call(screen, network, points, indices)
+        np.testing.assert_array_equal(got, call(NumpyBackend(), network, points, indices))
+        assert screen.stats.screened == len(points)
+        assert screen.stats.verified >= len(network.coords)
+
+    @pytest.mark.parametrize("kernel", sorted(_SCREEN_KERNELS))
+    def test_verified_points_do_not_depend_on_chunking(self, monkeypatch, kernel):
+        network, points, indices = self.workload()
+        call = _SCREEN_KERNELS[kernel]
+        verified = []
+        for budget in ("1", "4000", str(1 << 30)):
+            monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", budget)
+            screen = Float32ScreenBackend()
+            call(screen, network, points, indices)
+            verified.append(screen.stats.verified)
+        assert verified[0] == verified[1] == verified[2]
+
+
 class TestRoutedEndToEnd:
     """The new names flow through every layer that routes by backend."""
 

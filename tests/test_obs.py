@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import Float32ScreenBackend, heard_station_batch
 from repro.exceptions import ObservabilityClosedError, ObservabilityError
 from repro.obs import (
     JsonlSink,
@@ -32,6 +33,7 @@ from repro.obs import (
 from repro.raster import TileCache
 from repro.service import MicroBatcher, QueryService, ServiceStats
 
+from seeded_workloads import query_box_array, seeded_network
 from test_service import FakeLocator, fingerprint_answers  # noqa: F401
 
 
@@ -232,6 +234,84 @@ class TestSources:
             assert sample["latency_budget"] == service._batcher.latency_budget
 
         run(main())
+
+
+class TestStatsSourceProbeOrder:
+    """The one adapter's probe order, one rung at a time."""
+
+    def test_metrics_sample_wins_over_snapshot_methods(self):
+        class Both:
+            def metrics_sample(self):
+                return {"from_protocol": 1}
+
+            def stats(self):  # pragma: no cover - must not be reached
+                raise AssertionError("snapshot probed despite metrics_sample")
+
+        assert stats_source(Both())() == {"from_protocol": 1.0}
+
+    @pytest.mark.parametrize("method", ["stats_snapshot", "snapshot", "stats"])
+    def test_each_snapshot_method_is_probed(self, method):
+        subject = type("Subject", (), {method: lambda self: {"value": 3}})()
+        assert stats_source(subject)() == {"value": 3.0}
+
+    def test_snapshot_methods_probed_most_specific_first(self):
+        class Layered:
+            def stats_snapshot(self):
+                return {"rung": 1}
+
+            def snapshot(self):  # pragma: no cover - must not be reached
+                return {"rung": 2}
+
+            def stats(self):  # pragma: no cover - must not be reached
+                return {"rung": 3}
+
+        assert stats_source(Layered())() == {"rung": 1.0}
+
+    def test_non_numeric_and_boolean_fields_are_dropped(self):
+        class Mixed:
+            def snapshot(self):
+                return {"count": 2, "ratio": 0.5, "flag": True,
+                        "label": "x", "missing": None}
+
+        assert stats_source(Mixed())() == {"count": 2.0, "ratio": 0.5}
+
+    def test_plain_attributes_flatten_without_any_method(self):
+        class Plain:
+            def __init__(self):
+                self.hits = 7
+                self.name = "plain"
+                self._private = 99
+
+        assert stats_source(Plain())() == {"hits": 7.0}
+
+    def test_derived_method_needing_arguments_is_skipped(self):
+        class Snapshot:
+            hits = 1
+
+            def hit_rate(self, window):  # pragma: no cover - never called
+                return 1.0
+
+        assert stats_source(Snapshot())() == {"hits": 1.0}
+
+    def test_subject_is_probed_afresh_on_every_sample(self):
+        stats = ServiceStats()
+        sample = stats_source(stats)
+        assert sample()["submitted"] == 0.0
+        stats.record_submitted()
+        stats.record_submitted()
+        assert sample()["submitted"] == 2.0
+
+    def test_real_screen_counters_through_the_protocol(self):
+        network = seeded_network(6, side=14.0, seed=61)
+        points = np.vstack([query_box_array(network, 50, seed=62), network.coords])
+        screen = Float32ScreenBackend()
+        heard_station_batch(network, points, backend=screen)
+        sample = stats_source(screen.stats)()
+        assert sample["screened"] == float(len(points))
+        assert sample["verified"] >= float(len(network.coords))
+        assert sample["verify_fraction"] == pytest.approx(
+            sample["verified"] / sample["screened"]
+        )
 
 
 # ----------------------------------------------------------------------

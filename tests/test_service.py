@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import use_backend
+from repro.engine import Float32ScreenBackend, NumpyBackend, use_backend
 from repro.exceptions import ServiceClosedError, ServiceError
 from repro.pointlocation import build_locator
 from repro.service import (
@@ -638,6 +638,32 @@ class TestBackendInterplay:
         answers = run(main())
         np.testing.assert_array_equal(answers, truth[:64])
         assert spy.calls > 0
+
+    @pytest.mark.parametrize("locator", ["voronoi", "brute-force"])
+    @pytest.mark.parametrize("backend", ["numpy", "float32-screen", "reference"])
+    def test_registered_backend_name_round_trips(self, network, queries, truth,
+                                                 backend, locator):
+        """Every registered backend, selected by name before start(), serves
+        the answers of the default backend through the async service."""
+        async def main():
+            with use_backend(backend):
+                async with QueryService(
+                    network, locator, latency_budget=0.002, max_batch_size=64
+                ) as service:
+                    return await service.locate_many(queries[:200])
+
+        np.testing.assert_array_equal(run(main()), truth[:200])
+
+    @pytest.mark.parametrize("backend_type", [NumpyBackend, Float32ScreenBackend])
+    def test_backend_object_round_trips_through_sync_facade(
+        self, network, queries, truth, backend_type
+    ):
+        backend = backend_type()
+        with use_backend(backend):
+            answers = serve_points(network, queries[:300], locator="voronoi")
+        np.testing.assert_array_equal(answers, truth[:300])
+        if isinstance(backend, Float32ScreenBackend):
+            assert backend.stats.screened > 0
 
 
 # ----------------------------------------------------------------------
